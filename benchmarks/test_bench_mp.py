@@ -2,7 +2,7 @@
 
 Replays the fig6 off-chip sweep and the fig8 on-chip sweep (16
 configs against the paper-sized 8-CPU OLTP trace) with the scalar
-``fast`` engine and the staged ``vectorized-mp`` pipeline, recording
+``general`` engine and the staged ``vectorized-mp`` pipeline, recording
 steady-state timings to ``BENCH_mp.json`` (override with
 ``BENCH_MP_OUT``): per-config and total seconds per engine plus the
 aggregate speedup.
@@ -18,7 +18,11 @@ the same scheduler and frequency drift.
 
 The run doubles as the acceptance check for the pipeline: every
 config's ``RunResult`` must be value-identical across engines, and
-the recorded aggregate speedup is asserted against the ≥3x target.
+the recorded aggregate speedup is asserted against the target.  The
+target was first set at 3x over the retired ``fast`` scalar engine; it
+was rebased onto ``general`` by the measured ``general_s / fast_s``
+ratio of this protocol (2.38 on a 2-CPU box), rounded up:
+3.0 x 2.38 = 7.2.
 """
 
 from __future__ import annotations
@@ -33,8 +37,8 @@ from repro.experiments.common import get_trace
 
 OUT = os.environ.get("BENCH_MP_OUT", "BENCH_mp.json")
 ROUNDS = 3
-TARGET_SPEEDUP = 3.0
-ENGINES = ("fast", "vectorized-mp")
+TARGET_SPEEDUP = 7.2
+ENGINES = ("general", "vectorized-mp")
 
 
 def _replay(machine, trace, engine):
@@ -67,29 +71,29 @@ def test_bench_mp_fig6_fig8_sweeps(settings, warmed_traces):
                 results[engine] = result
         # Value-identity across engines, for every config in the sweeps.
         assert (results["vectorized-mp"].to_dict()
-                == results["fast"].to_dict()), key
+                == results["general"].to_dict()), key
 
-    fast_total = sum(best["fast"].values())
+    general_total = sum(best["general"].values())
     vmp_total = sum(best["vectorized-mp"].values())
-    speedup = fast_total / vmp_total
+    speedup = general_total / vmp_total
     payload = {
         "figure": "fig6+fig8",
         "settings": "paper",
         "cpu_count": os.cpu_count(),
         "rounds": ROUNDS,
         "trace_refs": trace.total_refs,
-        "fast_seconds": round(fast_total, 4),
+        "general_seconds": round(general_total, 4),
         "vectorized_mp_seconds": round(vmp_total, 4),
         "speedup": round(speedup, 3),
         "target_speedup": TARGET_SPEEDUP,
         "per_config": {
             key: {
-                "fast_seconds": round(best["fast"][key], 4),
+                "general_seconds": round(best["general"][key], 4),
                 "vectorized_mp_seconds": round(
                     best["vectorized-mp"][key], 4
                 ),
                 "speedup": round(
-                    best["fast"][key] / best["vectorized-mp"][key], 3
+                    best["general"][key] / best["vectorized-mp"][key], 3
                 ),
             }
             for key, _ in configs
@@ -100,5 +104,5 @@ def test_bench_mp_fig6_fig8_sweeps(settings, warmed_traces):
 
     assert speedup >= TARGET_SPEEDUP, (
         f"vectorized-mp engine {speedup:.2f}x < {TARGET_SPEEDUP}x target "
-        f"(fast {fast_total:.2f}s, vectorized-mp {vmp_total:.2f}s)"
+        f"(general {general_total:.2f}s, vectorized-mp {vmp_total:.2f}s)"
     )

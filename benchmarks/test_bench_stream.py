@@ -4,10 +4,10 @@ Runs two fresh subprocesses (``ru_maxrss`` is a process-lifetime
 high-water mark, so each measurement needs its own interpreter):
 
 * **reference** — the paper-sized uniprocessor workload (400 measured
-  transactions), fully materialized and replayed on the fast engine;
+  transactions), fully materialized and replayed on the general engine;
 * **streamed** — the same workload at ``BENCH_STREAM_SCALE_X`` (default
   100) times the measured transaction count, streamed chunk-by-chunk
-  from the generator straight into the fast engine, never
+  from the generator straight into the general engine, never
   materializing the trace.
 
 The payload lands in ``BENCH_stream.json`` (override with
@@ -44,7 +44,7 @@ if mode == "materialized":
     from repro.trace.generator import build_trace
 
     trace = build_trace(ncpus=1, scale=32, txns=txns, seed=7)
-    result = simulate(machine, trace, engine="fast")
+    result = simulate(machine, trace, engine="general")
     quanta = len(trace.quanta)
     refs = sum(len(q.refs) for q in trace.quanta)
     measured = trace.measured_refs
@@ -52,7 +52,7 @@ else:
     from repro.trace.generator import stream_trace
 
     trace = stream_trace(ncpus=1, scale=32, txns=txns, seed=7)
-    result = simulate(machine, trace, engine="fast")
+    result = simulate(machine, trace, engine="general")
     quanta = trace.quanta_seen
     refs = trace.refs_seen
     measured = trace.measured_refs

@@ -4,7 +4,8 @@ Replays the fig5 uniprocessor sweep (9 off-chip L2 geometries against
 the paper-sized 1-CPU OLTP trace) once per engine and records
 steady-state timings to ``BENCH_vector.json`` (override with
 ``BENCH_VECTOR_OUT``): per-config and total seconds for the scalar
-``fast`` path and the ``vectorized`` path, plus the aggregate speedup.
+``general`` loop and the ``vectorized`` path, plus the aggregate
+speedup.
 
 Measurement protocol: one untimed warmup round per engine (builds the
 trace views the vectorized kernel caches, faults everything hot), then
@@ -14,7 +15,11 @@ one-off cache effects and scheduler noise.
 
 The run doubles as the acceptance check for the kernel: every config's
 ``RunResult`` must be value-identical across engines, and the recorded
-aggregate speedup is asserted against the ≥5x target.
+aggregate speedup is asserted against the target.  The target was
+first set at 5x over the retired ``fast`` scalar engine; it was rebased
+onto ``general`` by the measured ``general_s / fast_s`` ratio of this
+protocol (3.25, the median of three runs on a 2-CPU box), rounded up:
+5.0 x 3.25 = 16.3.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from repro.experiments.common import get_trace
 
 OUT = os.environ.get("BENCH_VECTOR_OUT", "BENCH_vector.json")
 ROUNDS = 3
-TARGET_SPEEDUP = 5.0
+TARGET_SPEEDUP = 16.3
 
 
 def _replay(machine, trace, engine):
@@ -42,8 +47,8 @@ def test_bench_vectorized_fig5_sweep(settings, warmed_traces):
     trace = get_trace(1, settings)
     configs = offchip.sweep_configs(1, settings.scale)
 
-    best = {"fast": {}, "vectorized": {}}
-    results = {"fast": {}, "vectorized": {}}
+    best = {"general": {}, "vectorized": {}}
+    results = {"general": {}, "vectorized": {}}
     for engine in best:
         for label, machine in configs:  # untimed warmup round
             _replay(machine, trace, engine)
@@ -58,27 +63,27 @@ def test_bench_vectorized_fig5_sweep(settings, warmed_traces):
     # Value-identity across engines, for every config in the sweep.
     for label, _ in configs:
         assert (results["vectorized"][label].to_dict()
-                == results["fast"][label].to_dict()), label
+                == results["general"][label].to_dict()), label
 
-    fast_total = sum(best["fast"].values())
+    general_total = sum(best["general"].values())
     vector_total = sum(best["vectorized"].values())
-    speedup = fast_total / vector_total
+    speedup = general_total / vector_total
     payload = {
         "figure": "fig5",
         "settings": "paper",
         "cpu_count": os.cpu_count(),
         "rounds": ROUNDS,
         "trace_refs": trace.total_refs,
-        "fast_seconds": round(fast_total, 4),
+        "general_seconds": round(general_total, 4),
         "vectorized_seconds": round(vector_total, 4),
         "speedup": round(speedup, 3),
         "target_speedup": TARGET_SPEEDUP,
         "per_config": {
             label: {
-                "fast_seconds": round(best["fast"][label], 4),
+                "general_seconds": round(best["general"][label], 4),
                 "vectorized_seconds": round(best["vectorized"][label], 4),
                 "speedup": round(
-                    best["fast"][label] / best["vectorized"][label], 3
+                    best["general"][label] / best["vectorized"][label], 3
                 ),
             }
             for label, _ in configs
@@ -89,5 +94,5 @@ def test_bench_vectorized_fig5_sweep(settings, warmed_traces):
 
     assert speedup >= TARGET_SPEEDUP, (
         f"vectorized engine {speedup:.2f}x < {TARGET_SPEEDUP}x target "
-        f"(fast {fast_total:.2f}s, vectorized {vector_total:.2f}s)"
+        f"(general {general_total:.2f}s, vectorized {vector_total:.2f}s)"
     )

@@ -28,10 +28,10 @@ dirty bit for EVICT.  Servicing appends *timing records*
 timing phase (:mod:`repro.cpu.timing`) charges them through the CPU
 models.
 
-The call order into the protocol is identical to ``System._run_fast``
-by construction, so directory, RAC and interconnect state evolve
-bit-for-bit the same — the exactness contract of the differential
-harness rests on that.
+The call order into the protocol is identical to the scalar reference
+loop ``System._run_general`` by construction, so directory, RAC and
+interconnect state evolve bit-for-bit the same — the exactness
+contract of the differential harness rests on that.
 """
 
 from __future__ import annotations
@@ -68,7 +68,8 @@ class CoherenceCore:
     ``record_miss`` is rebound by the driver at the warmup boundary
     (the measurement window gets a fresh
     :class:`~repro.stats.breakdown.MissBreakdown`), mirroring the
-    ``record_miss = self.misses.record`` rebind in ``_run_fast``.
+    fresh breakdown ``System._measurement_boundary`` installs for the
+    scalar loop.
     """
 
     __slots__ = ("protocol", "net", "record_miss", "_owner_get")

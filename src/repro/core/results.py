@@ -25,8 +25,8 @@ class RunResult:
     normalized bars are built from (the workload is symmetric, so this
     equals wall-clock time for the fixed transaction count).
 
-    The payload is engine-independent: every replay engine (``fast``,
-    ``general``, ``vectorized``, ``vectorized-mp``) must produce a
+    The payload is engine-independent: every replay engine (``general``,
+    ``vectorized``, ``vectorized-mp``) must produce a
     value-identical ``to_dict()`` for the same (machine, trace) pair —
     the differential and golden suites enforce it, and the campaign
     cache relies on it to serve results across engines.

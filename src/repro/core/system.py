@@ -6,20 +6,17 @@ node's L1/L2 hierarchy, invokes the directory protocol on L2 misses
 and ownership upgrades, charges the configuration's Figure-3 latencies
 through the CPU timing model, and accumulates the paper's statistics.
 
-Four replay engines implement identical semantics:
+Three replay engines implement identical semantics:
 
-* ``_run_fast`` — the scalar common case (one core per node, no victim
-  buffer).  It deliberately reaches into the cache objects' internal
-  set lists: at millions of references per run, per-access object
-  allocation would dominate.
-* ``_run_general`` — the extended configurations (chip multiprocessing,
-  victim buffers, software TLBs) via the clean
-  :class:`~repro.memsys.hierarchy.NodeCaches` API.
-* ``_run_vectorized`` — the numpy kernel in
-  :mod:`repro.memsys.vectorized` for coherence-free uniprocessor
-  configurations; selected automatically and value-identical to
-  ``_run_fast`` by contract.
-* ``_run_vectorized_mp`` — the staged multiprocessor pipeline in
+* ``_run_general`` — the scalar reference loop over the
+  :class:`~repro.memsys.hierarchy.NodeCaches` API.  It replays every
+  configuration (chip multiprocessing, victim buffers, software TLBs,
+  fault plans, per-quantum checking) and is the contract the other two
+  engines are held to.
+* ``vectorized`` — the numpy kernel in :mod:`repro.memsys.vectorized`
+  for coherence-free uniprocessor configurations; selected
+  automatically and value-identical to ``_run_general`` by contract.
+* ``vectorized-mp`` — the staged multiprocessor pipeline in
   :mod:`repro.memsys.vectorized_mp`: a sharing-census pre-pass
   (:func:`repro.trace.census.sharing_census`) splits lines into
   provably-private and potentially-shared classes, per-quantum walks
@@ -27,7 +24,7 @@ Four replay engines implement identical semantics:
   shared-line event stream reaches the directory protocol
   (:class:`repro.coherence.core.CoherenceCore`), with timing charged
   per quantum by :mod:`repro.cpu.timing`.  Also value-identical to
-  ``_run_fast`` by contract.
+  ``_run_general`` by contract.
 
 :meth:`System.select_engine` is the single source of truth for the
 dispatch; ``engine=`` overrides it so every path stays reachable.  The
@@ -70,15 +67,11 @@ from repro.stats.breakdown import (
 from repro.trace.stream import is_streaming, iter_quanta
 
 #: Replay engines accepted by :class:`System` and :func:`simulate`.
-ENGINES = ("auto", "fast", "general", "vectorized", "vectorized-mp")
+ENGINES = ("auto", "general", "vectorized", "vectorized-mp")
 
 
 class System:
     """A single-use simulator instance for one machine configuration.
-
-    ``force_general`` routes even plain configurations through the
-    general loop; the two loops implement identical semantics and the
-    test suite verifies it using this switch.
 
     ``check`` selects the integrity-checking tier (``"off"``,
     ``"end-of-run"``, ``"per-quantum"``; see
@@ -93,15 +86,13 @@ class System:
     wherever their domains overlap.
     """
 
-    def __init__(self, machine: MachineConfig, force_general: bool = False,
-                 *, check="off", fault_plan=None, engine: str = "auto"):
+    def __init__(self, machine: MachineConfig, *, check="off",
+                 fault_plan=None, engine: str = "auto"):
         self.machine = machine
-        self.force_general = force_general
         self.checker = Checker(check)
         self.fault_plan = fault_plan
         self.engine = self.select_engine(
-            machine, force_general=force_general, check=check,
-            fault_plan=fault_plan, engine=engine,
+            machine, check=check, fault_plan=fault_plan, engine=engine,
         )
         self.nodes: List[NodeCaches] = [
             NodeCaches(
@@ -140,61 +131,53 @@ class System:
     # -- engine selection ---------------------------------------------------------
 
     @staticmethod
-    def select_engine(machine: MachineConfig, *, force_general: bool = False,
-                      check="off", fault_plan=None,
-                      engine: str = "auto") -> str:
+    def select_engine(machine: MachineConfig, *, check="off",
+                      fault_plan=None, engine: str = "auto") -> str:
         """Resolve the replay engine for a configuration.
 
         This is the dispatch rule ``run`` uses and the provenance the
         campaign runner records per job; it depends only on the machine
-        and run options, never on the trace.
+        and run options, never on the trace.  ``auto`` picks a staged
+        engine where one accepts the configuration and ``general``
+        everywhere else.
         """
         if engine not in ENGINES:
             raise ConfigError(
                 f"unknown engine {engine!r}; choose one of {', '.join(ENGINES)}"
             )
-        needs_general = bool(
-            machine.cores_per_node > 1 or machine.victim_entries
-            or machine.tlb_entries or force_general
-        )
         if engine == "general":
             return "general"
-        if engine == "fast":
-            if needs_general:
-                raise ConfigError(
-                    "engine='fast' cannot replay CMP, victim-buffer or "
-                    "TLB configurations; use engine='general'"
-                )
-            return "fast"
-        run_ok = (
+        # The staged engines keep flat state that reaches the cache
+        # objects only when the run ends, so they host neither a fault
+        # plan nor per-quantum checks; their flat L1s are 2-way only.
+        staged_ok = (
             fault_plan is None
             and CheckLevel.coerce(check) is not CheckLevel.PER_QUANTUM
+            and L1_ASSOC == 2
         )
-        vector_ok = not force_general and machine.vectorizable and run_ok
-        mp_ok = not force_general and machine.mp_vectorizable and run_ok
+        vector_ok = staged_ok and machine.vectorizable
+        mp_ok = staged_ok and machine.mp_vectorizable
         if engine == "vectorized":
             if not vector_ok:
                 raise ConfigError(
                     "engine='vectorized' supports only single-node, "
-                    "single-core machines with no victim buffer, TLB, "
-                    "RAC, fault plan or per-quantum checking"
+                    "single-core machines with 2-way L1s and no victim "
+                    "buffer, TLB, RAC, fault plan or per-quantum checking"
                 )
             return "vectorized"
         if engine == "vectorized-mp":
             if not mp_ok:
                 raise ConfigError(
                     "engine='vectorized-mp' supports only multi-node "
-                    "machines with one core per node and no victim "
-                    "buffer, TLB, fault plan or per-quantum checking"
+                    "machines with one core per node, 2-way L1s and no "
+                    "victim buffer, TLB, fault plan or per-quantum checking"
                 )
             return "vectorized-mp"
-        if needs_general:
-            return "general"
         if vector_ok:
             return "vectorized"
         if mp_ok:
             return "vectorized-mp"
-        return "fast"
+        return "general"
 
     # -- measurement reset at the warmup boundary --------------------------------
 
@@ -310,14 +293,18 @@ class System:
         with tracer.span("system.run", label=machine.label,
                          engine=self.engine, ncpus=machine.ncpus):
             with tracer.span(f"engine.{self.engine}"):
-                if self.engine == "general":
-                    self._run_general(trace, protocol, net)
-                elif self.engine == "vectorized":
-                    self._run_vectorized(trace, protocol, net)
+                # The staged engines collect a chunk-streamed trace:
+                # their structural passes need the whole stream at once.
+                if self.engine == "vectorized":
+                    from repro.memsys.vectorized import replay_uniprocessor
+                    replay_uniprocessor(self, trace, protocol, net)
                 elif self.engine == "vectorized-mp":
-                    self._run_vectorized_mp(trace, protocol, net)
+                    from repro.memsys.vectorized_mp import (
+                        replay_multiprocessor,
+                    )
+                    replay_multiprocessor(self, trace, protocol, net)
                 else:
-                    self._run_fast(trace, protocol, net)
+                    self._run_general(trace, protocol, net)
 
             for cpu in self.cpus:
                 cpu.drain()
@@ -328,241 +315,7 @@ class System:
                 result.verify()
         return result
 
-    # -- the vectorized uniprocessor kernel ----------------------------------------
-
-    def _run_vectorized(self, trace, protocol: DirectoryProtocol,
-                        net: InterconnectModel) -> None:
-        from repro.memsys.vectorized import (
-            VectorizedUnsupported,
-            replay_uniprocessor,
-        )
-
-        if is_streaming(trace):
-            # The kernel's structural algorithms (global argsort runs,
-            # first-touch np.unique) need the whole reference stream
-            # at once; a chunk iterator is accepted by collecting it.
-            trace = trace.collect()
-        try:
-            replay_uniprocessor(self, trace, protocol, net)
-        except VectorizedUnsupported:
-            # Rare hand-built traces (e.g. an instruction fetch carrying
-            # the write flag) fall outside the kernel's contract; the
-            # scalar loop handles them with identical results.  State is
-            # untouched at this point: the kernel validates before it
-            # mutates anything.
-            self.engine = "fast"
-            self._run_fast(trace, protocol, net)
-
-    # -- the staged multiprocessor pipeline ----------------------------------------
-
-    def _run_vectorized_mp(self, trace, protocol: DirectoryProtocol,
-                           net: InterconnectModel) -> None:
-        from repro.memsys.vectorized import VectorizedUnsupported
-        from repro.memsys.vectorized_mp import replay_multiprocessor
-
-        if is_streaming(trace):
-            # The sharing-census pre-pass classifies lines across the
-            # whole run; like the uniprocessor kernel, it accepts a
-            # chunk iterator by collecting it.
-            trace = trace.collect()
-        try:
-            replay_multiprocessor(self, trace, protocol, net)
-        except VectorizedUnsupported:
-            # Same contract as the uniprocessor kernel: validation
-            # happens before any mutation, so the scalar loop can take
-            # over from pristine state with identical results.
-            self.engine = "fast"
-            self._run_fast(trace, protocol, net)
-
-    # -- the optimized common-case loop ------------------------------------------------
-
-    def _run_fast(self, trace, protocol: DirectoryProtocol,
-                  net: InterconnectModel) -> None:
-        machine = self.machine
-        lat_l2hit = machine.latencies.l2_hit
-        mp = machine.num_nodes > 1
-        ooo = machine.cpu_model == "ooo"
-        owner_get = protocol.directory._owner.get
-        service_miss = protocol.service_miss
-        ensure_owner = protocol.ensure_owner
-        handle_eviction = protocol.handle_eviction
-        service_latency = net.service_latency
-        record_miss = self.misses.record
-        kind_to_stall = KIND_TO_STALL
-        l2_assoc = machine.l2_assoc
-
-        nodes = self.nodes
-        cpus = self.cpus
-        # Integrity hooks fire only at quantum boundaries, so the
-        # per-reference path below stays branch-free when disabled.
-        checker = self.checker if self.checker.per_quantum else None
-        # Metrics likewise: one None test per quantum when disabled.
-        sampler = self._sampler
-        racs = self.racs
-        dir_sharers = protocol.directory._sharers
-        plan = self.fault_plan if (
-            self.fault_plan is not None and not self.fault_plan.applied
-        ) else None
-        refs_done = 0
-        # Run-long counters kept as plain ints for speed.
-        i_refs = i_miss = d_refs = d_miss = l2hits = writes = 0
-
-        for qi, quantum, at_boundary, measured in iter_quanta(trace, "fast"):
-            if at_boundary:
-                record_miss = self._measurement_boundary(
-                    protocol, net, i_refs, i_miss, d_refs, d_miss,
-                    l2hits, writes,
-                )
-                i_refs = i_miss = d_refs = d_miss = l2hits = writes = 0
-
-            cpu_id = quantum.cpu
-            node = nodes[cpu_id]
-            cpu = cpus[cpu_id]
-            stall = cpu.stall
-            busy = cpu.busy
-            l1i = node.l1i
-            l1d = node.l1d
-            l2 = node.l2
-            l1i_sets = l1i._sets
-            l1i_n = l1i.num_sets
-            l1i_assoc = l1i.assoc
-            l1d_sets = l1d._sets
-            l1d_n = l1d.num_sets
-            l1d_assoc = l1d.assoc
-            l2_sets = l2._sets
-            l2_n = l2.num_sets
-            l2_dirty = l2._dirty
-            q_instr = 0
-            q_kinstr = 0
-
-            for ref in quantum.refs:
-                flags = ref & 15
-                line = ref >> 4
-                if flags & 2:  # instruction fetch
-                    i_refs += 1
-                    q_instr += 1
-                    if flags & 4:
-                        q_kinstr += 1
-                    if ooo:
-                        busy(INSTRS_PER_ILINE, flags & 4)
-                    sets = l1i_sets
-                    ways = sets[line % l1i_n]
-                    if line in ways:
-                        if ways[0] != line:
-                            ways.remove(line)
-                            ways.insert(0, line)
-                        continue
-                    i_miss += 1
-                    l1_assoc_here = l1i_assoc
-                else:
-                    d_refs += 1
-                    write = flags & 1
-                    if write:
-                        writes += 1
-                    sets = l1d_sets
-                    ways = sets[line % l1d_n]
-                    if line in ways:
-                        if ways[0] != line:
-                            ways.remove(line)
-                            ways.insert(0, line)
-                        if write:
-                            l2_dirty[line % l2_n].add(line)
-                            if mp and owner_get(line) != cpu_id:
-                                outcome = ensure_owner(cpu_id, line)
-                                if outcome is not None:
-                                    stall(
-                                        service_latency(outcome),
-                                        kind_to_stall[outcome.kind],
-                                        flags & 8,
-                                        False,
-                                    )
-                        continue
-                    d_miss += 1
-                    l1_assoc_here = l1d_assoc
-
-                # ---- L1 miss: probe the L2 --------------------------------
-                write = flags & 1
-                is_instr = flags & 2
-                idx2 = line % l2_n
-                ways2 = l2_sets[idx2]
-                if line in ways2:
-                    l2hits += 1
-                    if ways2[0] != line:
-                        ways2.remove(line)
-                        ways2.insert(0, line)
-                    if write:
-                        l2_dirty[idx2].add(line)
-                        if mp and owner_get(line) != cpu_id:
-                            outcome = ensure_owner(cpu_id, line)
-                            if outcome is not None:
-                                stall(
-                                    service_latency(outcome),
-                                    kind_to_stall[outcome.kind],
-                                    flags & 8,
-                                    False,
-                                )
-                    stall(lat_l2hit, 0, flags & 8, is_instr)
-                else:
-                    # ---- L2 miss: fill, evict, consult the protocol --------
-                    if len(ways2) >= l2_assoc:
-                        victim = ways2.pop()
-                        vdirty_set = l2_dirty[idx2]
-                        if victim in vdirty_set:
-                            vdirty_set.remove(victim)
-                            vdirty = True
-                        else:
-                            vdirty = False
-                        # Inclusion: purge the victim from the L1s.
-                        vways = l1i_sets[victim % l1i_n]
-                        if victim in vways:
-                            vways.remove(victim)
-                        vways = l1d_sets[victim % l1d_n]
-                        if victim in vways:
-                            vways.remove(victim)
-                        handle_eviction(cpu_id, victim, vdirty)
-                    ways2.insert(0, line)
-                    if write:
-                        l2_dirty[idx2].add(line)
-                    outcome = service_miss(cpu_id, line, bool(write), bool(is_instr))
-                    stall(
-                        service_latency(outcome),
-                        kind_to_stall[outcome.kind],
-                        flags & 8,
-                        is_instr,
-                    )
-                    record_miss(outcome.kind, bool(is_instr))
-
-                # ---- fill the L1 (clean; dirtiness lives at the L2) ---------
-                if len(ways) >= l1_assoc_here:
-                    ways.pop()
-                ways.insert(0, line)
-
-            if not ooo and q_instr:
-                busy(q_instr * INSTRS_PER_ILINE, False)
-                if q_kinstr:
-                    cpu.kernel_busy_cycles += q_kinstr * INSTRS_PER_ILINE
-
-            if plan is not None:
-                refs_done += len(quantum.refs)
-                if refs_done >= plan.at_ref:
-                    plan.apply(self, protocol)
-                    plan = None
-            if checker is not None:
-                checker.check_system(self, protocol)
-            if sampler is not None and measured:
-                if racs is not None:
-                    rp = sum(r.probes for r in racs)
-                    rh = sum(r.hits for r in racs)
-                else:
-                    rp = rh = 0
-                sampler.sample(qi, self.misses, i_refs, len(dir_sharers),
-                               rp, rh)
-
-        if plan is not None:
-            plan.apply(self, protocol)
-        self._flush_counters(i_refs, i_miss, d_refs, d_miss, l2hits, writes)
-
-    # -- the general loop (CMP / victim buffers) -----------------------------------------
+    # -- the scalar reference loop -------------------------------------------------------
 
     def _run_general(self, trace, protocol: DirectoryProtocol,
                      net: InterconnectModel) -> None:
@@ -629,6 +382,11 @@ class System:
                         if len(tlb) > tlb_entries:
                             tlb.popitem(last=False)
                 if is_instr:
+                    if write:
+                        raise TraceMismatchError(
+                            "trace contains an instruction fetch with the "
+                            f"write flag set (quantum {qi})"
+                        )
                     i_refs += 1
                     q_instr += 1
                     if flags & 4:
@@ -665,9 +423,9 @@ class System:
                         i_miss += 1
                     else:
                         d_miss += 1
-                # Ownership upgrades stall before the hit latency, in
-                # the same order as the fast loop — the OOO model is
-                # order-sensitive, so the engines must agree on it.
+                # Ownership upgrades stall before the hit latency — the
+                # OOO model is order-sensitive, so every engine issues
+                # its stalls in this order.
                 if write and mp and owner_get(line) != node_id:
                     outcome = protocol.ensure_owner(node_id, line)
                     if outcome is not None:
@@ -762,12 +520,12 @@ class System:
         )
 
 
-def simulate(machine: MachineConfig, trace, *, force_general: bool = False,
-             check="off", fault_plan=None, engine: str = "auto") -> RunResult:
+def simulate(machine: MachineConfig, trace, *, check="off", fault_plan=None,
+             engine: str = "auto") -> RunResult:
     """Convenience wrapper: build a System, replay ``trace``, return stats.
 
     ``check``, ``fault_plan`` and ``engine`` pass through to
     :class:`System`.
     """
-    return System(machine, force_general,
-                  check=check, fault_plan=fault_plan, engine=engine).run(trace)
+    return System(machine, check=check, fault_plan=fault_plan,
+                  engine=engine).run(trace)

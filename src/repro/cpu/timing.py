@@ -12,8 +12,9 @@ applies aggregates directly.  The out-of-order model is
 order-sensitive (window occupancy, MSHRs, dependent-load
 serialization), so :func:`charge_quantum_ooo` merges the quantum's
 instruction-fetch positions back into the stall stream and replays
-``busy``/``stall`` calls in exactly the order ``System._run_fast``
-would have made them.
+``busy``/``stall`` calls in exactly the order the scalar reference
+loop ``System._run_general`` makes them (the differential suite and
+``tests/core/test_reference_model.py`` hold the engines to it).
 
 Neither model knows where a cycle count came from: per-event
 ``cycles`` arrive fully resolved from the interconnect

@@ -135,8 +135,8 @@ def _stream(args: argparse.Namespace, settings: Settings) -> int:
     """The ``repro-oltp stream`` verb: scaled-up replay at flat memory.
 
     Streams a workload ``--scale-x`` times the configured transaction
-    count straight from the generator into the fast engine, chunk by
-    chunk, without ever materializing the whole trace — peak RSS stays
+    count straight from the generator into the general engine, chunk
+    by chunk, without ever materializing the whole trace — peak RSS stays
     flat no matter how large the multiplier.
     """
     import resource
@@ -154,11 +154,12 @@ def _stream(args: argparse.Namespace, settings: Settings) -> int:
     machine = MachineConfig(label="stream-base", ncpus=1)
     start = time.perf_counter()
     trace = store.stream(spec)
-    result = simulate(machine, trace, engine="fast", check=settings.check)
+    result = simulate(machine, trace, engine="general",
+                      check=settings.check)
     wall = time.perf_counter() - start
     peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     print(f"streamed {txns} transactions ({scale_x}x the configured "
-          f"count) through the fast engine")
+          f"count) through the general engine")
     print(f"  quanta:        {trace.quanta_seen}")
     print(f"  refs:          {trace.refs_seen}")
     print(f"  measured refs: {trace.measured_refs_seen}")

@@ -82,7 +82,7 @@ class Row:
     result: RunResult
     time_norm: float = 0.0
     miss_norm: float = 0.0
-    #: Replay engine the configuration resolved to ("fast", "general",
+    #: Replay engine the configuration resolved to ("general",
     #: "vectorized" or "vectorized-mp") — provenance for plots and
     #: benchmark reports; never part of the numbers themselves.
     engine: str = ""

@@ -22,8 +22,8 @@ Conservation laws over the measured statistics (references, misses,
 cycle components) live in :meth:`repro.core.results.RunResult.verify`,
 which the system calls at the same checkpoints.
 
-Cost tiers: ``off`` does nothing and costs nothing (the fast replay
-loop takes no per-reference branch for it); ``end-of-run`` walks the
+Cost tiers: ``off`` does nothing and costs nothing (no replay
+loop takes a per-reference branch for it); ``end-of-run`` walks the
 state once after the replay; ``per-quantum`` walks it at every
 scheduling-quantum boundary, catching corruption within one quantum of
 its introduction.  The walk is written set-arithmetic-first (bulk

@@ -31,7 +31,8 @@ class TraceFormatError(ReproError, ValueError):
 
 class TraceMismatchError(ReproError, ValueError):
     """A trace cannot be replayed against the requested machine
-    (CPU-count mismatch, bad page size, empty or mis-bounded quanta)."""
+    (CPU-count mismatch, bad page size, empty or mis-bounded quanta, an
+    instruction fetch carrying the write flag)."""
 
 
 class JournalFormatError(ReproError, ValueError):

@@ -7,10 +7,11 @@ checked, reportable fact:
    the Figure 10 integration ladders (uniprocessor and 8-way, plus the
    Conservative Base) with ``end-of-run`` checking: every structural
    invariant and conservation law must hold on real OLTP traces.
-2. **Loop agreement** — run the same seeded trace through the fast and
-   the general replay loop with ``per-quantum`` checking: both must
-   stay invariant-clean at every quantum boundary and produce
-   identical statistics.
+2. **Loop agreement** — run the same seeded trace through the scalar
+   ``general`` loop with ``per-quantum`` checking, which must stay
+   invariant-clean at every quantum boundary, and through the engine
+   ``auto`` selects (the staged pipeline): both must produce identical
+   statistics.
 3. **Fault matrix** — inject every :class:`FaultKind` into a live run
    and require the checker to catch each one as an
    :class:`InvariantViolation` carrying forensics.  A checker that
@@ -135,21 +136,22 @@ def _loop_agreement(report: SelftestReport) -> None:
     machine = MachineConfig.base(4, l2_size=8192, l2_assoc=2, scale=1)
     trace_a = _synthetic_trace()
     trace_b = _synthetic_trace()
+    auto = System(machine)
     try:
-        fast = System(machine, check="per-quantum").run(trace_a)
-        general = System(machine, force_general=True,
-                         check="per-quantum").run(trace_b)
+        general = System(machine, check="per-quantum").run(trace_a)
     except InvariantViolation as exc:
         report.fail(f"loop agreement: per-quantum check tripped: {exc}")
         return
-    if (fast.breakdown.total == general.breakdown.total
-            and fast.misses.as_dict() == general.misses.as_dict()
-            and fast.l1.i_misses == general.l1.i_misses):
-        report.ok("fast and general loops agree under per-quantum checking")
+    staged = auto.run(trace_b)
+    if (general.breakdown.total == staged.breakdown.total
+            and general.misses.as_dict() == staged.misses.as_dict()
+            and general.l1.i_misses == staged.l1.i_misses):
+        report.ok("general loop under per-quantum checking agrees with "
+                  f"the {auto.engine} engine")
     else:
         report.fail(
-            "fast and general loops disagree: "
-            f"totals {fast.breakdown.total} vs {general.breakdown.total}"
+            f"general loop and {auto.engine} engine disagree: "
+            f"totals {general.breakdown.total} vs {staged.breakdown.total}"
         )
 
 

@@ -1,13 +1,14 @@
 """Vectorized uniprocessor replay kernel.
 
-The scalar loops in :mod:`repro.core.system` walk every packed
-reference through the L1/L2 hierarchy one at a time; for the
+The scalar reference loop in :mod:`repro.core.system` walks every
+packed reference through the L1/L2 hierarchy one at a time; for the
 coherence-free uniprocessor configurations that dominate Figures 5, 7,
 10 and 13 this is pure Python overhead.  This module replays the same
 trace with numpy doing the heavy lifting and produces statistics that
-are **bit-identical** to ``System._run_fast`` — the contract the
-differential harness (``tests/core/test_differential.py``) enforces —
-so cached campaign results stay valid across engines.
+are **bit-identical** to ``System._run_general`` — the contract the
+differential harness (``tests/core/test_differential.py``) and the
+independent reference model (``tests/core/test_reference_model.py``)
+enforce — so cached campaign results stay valid across engines.
 
 The kernel rests on two exact structural facts:
 
@@ -35,8 +36,8 @@ evict — every L2 miss is exactly a first touch, no purge can reach the
 L1s, and the L2 needs no replay at all (misses, dirty bits and final
 state all come from array reductions; only the flat L1 walk runs, on
 the compressed stream).  Otherwise the L2 is replayed scalar, jointly
-with the L1s (list-based, mirroring ``_run_fast`` operation for
-operation).  Out-of-order CPUs are handled by recording the
+with the L1s (list-based, mirroring ``_run_general`` reference for
+reference).  Out-of-order CPUs are handled by recording the
 (position, l2-hit) event list during the walk and replaying the exact
 ``busy``/``stall`` call sequence against the CPU model afterwards.
 
@@ -44,7 +45,8 @@ Multiprocessor traces are out of scope here: the staged coherence
 pipeline in :mod:`repro.memsys.vectorized_mp` (the ``vectorized-mp``
 engine) extends the same flat-state, exact-by-construction approach
 to directory-coherent machines, and reuses this module's
-``_materialize_l1`` and fallback exception.
+``_materialize_l1``.  An instruction fetch carrying the write flag is
+rejected while the trace view is built, as on every engine.
 """
 
 from __future__ import annotations
@@ -55,19 +57,10 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.integrity.errors import TraceMismatchError
 from repro.params import INSTRS_PER_ILINE, LINE_SIZE
 
-__all__ = ["VectorizedUnsupported", "replay_uniprocessor"]
-
-
-class VectorizedUnsupported(Exception):
-    """Raised when a trace/machine falls outside the kernel's contract.
-
-    ``System._run_vectorized`` catches this and falls back to the
-    scalar fast loop, so callers never observe it.  The only known
-    trigger is a hand-built trace containing an instruction fetch with
-    the write flag set (the OLTP generator never emits one).
-    """
+__all__ = ["replay_uniprocessor"]
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +272,7 @@ class _TraceView:
         self.lines = refs >> 4
         self.flags = refs & 15
         if np.any((self.flags & 3) == 3):
-            raise VectorizedUnsupported(
+            raise TraceMismatchError(
                 "trace contains an instruction fetch with the write flag set"
             )
         # Uncompressed walks read the own-write flag from bit 4 too, so
@@ -716,8 +709,8 @@ def _walk_scalar(lines, effs, s1s, poss, l1_n, l2_n, l2_assoc,
     Used when every line maps to an overflow-capable L2 set, so the
     hybrid schedule would mark every reference -3 anyway; dropping the
     per-reference schedule (and, in-order, the position bookkeeping)
-    keeps the loop lean.  Mirrors ``_run_fast`` operation for
-    operation.  Returns ``(i_hits, d_hits, l2m_i, l2m_d, writebacks)``.
+    keeps the loop lean.  Mirrors ``_run_general`` reference for
+    reference.  Returns ``(i_hits, d_hits, l2m_i, l2m_d, writebacks)``.
     """
     i_hit = d_hit = l2m_i = l2m_d = wb = 0
     if mrec is None:
@@ -1055,12 +1048,12 @@ def _walk_assoc4(lines, effs, s1s, vics, l1_n, l2_n,
 
 def _walk_assoc(lines, effs, s1s, vics, poss, l1_n, l2_n, l2_assoc,
                 ia, ib, da, db, sets2, dirty2, fw, mrec):
-    """Hybrid L1 + associative-L2 walk, exact w.r.t. ``_run_fast``.
+    """Hybrid L1 + associative-L2 walk, exact w.r.t. ``_run_general``.
 
     ``vics`` (from :meth:`_TraceView.hybrid_vic_lists`) partitions the
     references: -3 means the line's L2 set may overflow, so the scalar
-    L2 lists are consulted (mirroring ``_run_fast`` operation for
-    operation, including inclusion purges); -1/-2 mean the set can
+    L2 lists are consulted (mirroring ``_run_general`` reference for
+    reference, including inclusion purges); -1/-2 mean the set can
     never overflow, so the L2 outcome is already known (hit / first-
     touch miss) and its state needs no upkeep — the two set
     populations are disjoint, so skipping the probe is unobservable.
@@ -1192,7 +1185,7 @@ def _walk_assoc(lines, effs, s1s, vics, poss, l1_n, l2_n, l2_assoc,
 # ---------------------------------------------------------------------------
 
 def _replay_ooo(cpu, tv: _TraceView, mrec_w, mrec_m, lat) -> None:
-    """Re-issue the exact busy/stall call sequence of ``_run_fast``.
+    """Re-issue the exact busy/stall call sequence of ``_run_general``.
 
     Float accumulation in the out-of-order model is order-sensitive, so
     bit-identity requires replaying per-fetch ``busy`` calls and
@@ -1244,8 +1237,9 @@ def _materialize_l1(cache, flat_a, flat_b) -> None:
 def replay_uniprocessor(system, trace, protocol, net) -> None:
     """Replay ``trace`` and populate ``system`` state and counters.
 
-    The caller (``System._run_vectorized``) guarantees a single-node,
-    single-core machine with no victim buffer, TLB, RAC or fault plan.
+    ``System.select_engine`` routes only single-node, single-core
+    machines with 2-way L1s and no victim buffer, TLB, RAC or fault
+    plan here.
 
     A chunk-streamed trace is materialized here: the kernel's
     structural algorithms (global argsort runs, first-touch
@@ -1260,8 +1254,6 @@ def replay_uniprocessor(system, trace, protocol, net) -> None:
     machine = system.machine
     node = system.nodes[0]
     l1i, l1d, l2 = node.l1i, node.l1d, node.l2
-    if l1i.assoc != 2 or l1d.assoc != 2:
-        raise VectorizedUnsupported("kernel assumes the paper's 2-way L1s")
     l1_n = l1i.num_sets
     l2_n = l2.num_sets
     l2_assoc = l2.assoc
@@ -1360,7 +1352,7 @@ def replay_uniprocessor(system, trace, protocol, net) -> None:
         dirty2 = l2._dirty
         sharers = protocol.directory._sharers
         owner = protocol.directory._owner
-        # Lines land in ascending order rather than _run_fast's recency
+        # Lines land in ascending order rather than the scalar recency
         # order; per-set LRU order is unobservable once the run is over
         # (results carry no cache state and the checker tests membership
         # and set mapping only).
@@ -1404,7 +1396,7 @@ def replay_uniprocessor(system, trace, protocol, net) -> None:
         owner = protocol.directory._owner
         nov = ~ovf_u
         # Never-overflowing sets: every touched line is still resident;
-        # lines land in ascending order rather than _run_fast's recency
+        # lines land in ascending order rather than the scalar recency
         # order, which is unobservable once the run is over (results
         # carry no cache state and the checker tests membership only).
         for line, dirty, fillw in zip(uniq[nov].tolist(),
@@ -1429,7 +1421,7 @@ def replay_uniprocessor(system, trace, protocol, net) -> None:
     _materialize_l1(l1i, ia, ib)
     _materialize_l1(l1d, da, db)
 
-    # -- measured statistics, assembled to match _run_fast bit-for-bit --
+    # -- measured statistics, assembled to match _run_general bit-for-bit --
     i_refs = tv.i_refs_m
     d_refs = tv.d_refs_m
     i_miss = i_refs - i_hit

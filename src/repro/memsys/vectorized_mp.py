@@ -2,9 +2,10 @@
 
 This module is phases 2–4 of the staged replay pipeline; phase 1 is
 :func:`repro.trace.census.sharing_census`.  The pipeline replaces the
-reference-interleaved scalar loop of ``System._run_fast`` for
+reference-interleaved scalar loop of ``System._run_general`` for
 multiprocessor machines while remaining **value-identical** by
-construction (the differential and golden suites enforce it):
+construction (the differential, reference-model and golden suites
+enforce it; see ``tests/core/test_reference_model.py``):
 
 1. **Census** — classify every line as provably private to one node
    or potentially shared, and pre-compute per-reference effective
@@ -46,9 +47,9 @@ Two execution modes cover the machine space:
   mid-quantum).  The walk runs on the real cache objects and services
   events inline, deferring only the timing phase.
 
-Anything the engine cannot replay raises
-:class:`~repro.memsys.vectorized.VectorizedUnsupported` *before
-mutating any state*, and ``System`` falls back to the scalar loop.
+``System.select_engine`` admits only configurations the engine replays
+exactly; an instruction fetch carrying the write flag is rejected
+before any state is touched, as on every engine.
 """
 
 from __future__ import annotations
@@ -60,7 +61,8 @@ import numpy as np
 
 from repro.coherence.core import EV_EVICT, EV_MISS, EV_WCHECK, CoherenceCore
 from repro.cpu.timing import charge_quantum_inorder, charge_quantum_ooo
-from repro.memsys.vectorized import VectorizedUnsupported, _materialize_l1
+from repro.integrity.errors import TraceMismatchError
+from repro.memsys.vectorized import _materialize_l1
 from repro.trace.census import sharing_census
 
 __all__ = ["replay_multiprocessor"]
@@ -168,7 +170,7 @@ class _NodeState:
 
 # ---------------------------------------------------------------------------
 # Batch-mode walks.  One specialized inner loop per L2 mode; all three
-# share the same structure, mirroring ``_run_fast`` reference for
+# share the same structure, mirroring ``_run_general`` reference for
 # reference.
 #
 # Shared-line coherence is serviced *inline*, transcribing the no-RAC
@@ -945,9 +947,9 @@ def _select_l2_modes(sc, nnodes: int, l2_n: int, l2_assoc: int) -> List[int]:
 def replay_multiprocessor(system, trace, protocol, net) -> None:
     """Replay ``trace`` on a multiprocessor machine, staged and exact.
 
-    The caller (``System._run_vectorized_mp``) guarantees a
-    one-core-per-node machine with no victim buffer, TLB or fault
-    plan; RACs and OOO CPUs route to stream mode internally.
+    ``System.select_engine`` routes only one-core-per-node machines
+    with 2-way L1s and no victim buffer, TLB or fault plan here; RACs
+    and OOO CPUs route to stream mode internally.
 
     A chunk-streamed trace is materialized here: the census pre-pass
     and the staged walks traverse the trace multiple times, and
@@ -961,10 +963,6 @@ def replay_multiprocessor(system, trace, protocol, net) -> None:
     machine = system.machine
     nodes = system.nodes
     node0 = nodes[0]
-    if node0.l1i.assoc != 2 or node0.l1d.assoc != 2:
-        raise VectorizedUnsupported(
-            "the multiprocessor kernel models 2-way L1s only"
-        )
 
     nnodes = machine.num_nodes
     ooo = machine.cpu_model == "ooo"
@@ -1001,6 +999,11 @@ def replay_multiprocessor(system, trace, protocol, net) -> None:
         lines = sc.lines
 
         def _build_base():
+            if np.any((flags & 3) == 3):
+                raise TraceMismatchError(
+                    "trace contains an instruction fetch with the write "
+                    "flag set"
+                )
             return (
                 sc.q_nodes.tolist(),
                 _per_quantum_counts((flags & 2) != 0, q_off),
@@ -1259,8 +1262,8 @@ def replay_multiprocessor(system, trace, protocol, net) -> None:
             for ln in st.dirty:
                 l2_dirty[ln % l2_n].add(ln)
             # Private lines never consulted the directory during the
-            # run; reconstruct the entries _run_fast would have left
-            # behind.
+            # run; reconstruct the entries the scalar loop would have
+            # left behind.
             owned = st.owned
             if st.mode == MODE_DM:
                 resident_iter = (occ for occ in st.dmset if occ != -1)

@@ -208,18 +208,31 @@ class CampaignRunner:
                 )
             served.append((i, source))
 
-        # Duplicate pending points simulate once, so the expected
-        # simulation count is the number of distinct hashes.
-        expected_sim = len({jobs[i].content_hash() for i in pending})
-        self._progress.start_batch(self._batch, len(jobs), expected_sim)
+        # Duplicate pending points (the same job twice in a batch)
+        # simulate once, on either path, and fan out by hash.
+        by_hash: dict = {}
+        for i in pending:
+            by_hash.setdefault(jobs[i].content_hash(), []).append(i)
+        self._progress.start_batch(self._batch, len(jobs), len(by_hash))
         for i, source in served:
             self._record(jobs[i], 0.0, source)
 
-        if pending:
-            if self.jobs > 1 and len(pending) > 1:
-                self._run_parallel(jobs, pending, results)
+        failures = []
+        if by_hash:
+            firsts = [indices[0] for indices in by_hash.values()]
+            if self.jobs > 1 and len(firsts) > 1:
+                failures = self._run_parallel(jobs, firsts, results)
             else:
-                self._run_serial(jobs, pending, results)
+                self._run_serial(jobs, firsts, results)
+            for first, *repeats in by_hash.values():
+                if results[first] is None:
+                    continue  # failed terminally
+                for i in repeats:
+                    # Hash-level duplicates are free, like cache hits.
+                    self._record(jobs[i], 0.0, SOURCE_CACHE)
+                    results[i] = results[first]
+        if failures:
+            raise CampaignJobError(failures)
         assert all(r is not None for r in results)
         return results  # type: ignore[return-value]
 
@@ -284,7 +297,9 @@ class CampaignRunner:
         return handles or None
 
     def _run_parallel(self, jobs: Sequence[SimJob], pending: List[int],
-                      results: List[Optional[RunResult]]) -> None:
+                      results: List[Optional[RunResult]]) -> list:
+        """Simulate the (distinct) ``pending`` jobs on the supervised
+        pool; returns the terminal failures."""
         # Materialize each distinct workload into the shared archive
         # once, so no worker pays for trace generation.  The archive
         # stays the durable fallback even when the same workloads are
@@ -299,12 +314,7 @@ class CampaignRunner:
         metrics = current_metrics()
         with_obs = tracer.enabled or metrics.enabled
 
-        # Duplicate jobs (the same point appearing twice in a batch)
-        # simulate once and fan out by hash.
-        by_hash: dict = {}
-        for i in pending:
-            by_hash.setdefault(jobs[i].content_hash(), []).append(i)
-        distinct = [jobs[indices[0]] for indices in by_hash.values()]
+        index = {jobs[i].content_hash(): i for i in pending}
 
         def on_result(job: SimJob, result: RunResult, seconds: float,
                       obs) -> None:
@@ -317,21 +327,16 @@ class CampaignRunner:
             self._record(job, seconds, SOURCE_SIMULATED)
 
         outcomes = self._ensure_supervisor().run(
-            distinct, with_obs=with_obs, on_result=on_result,
-            shm_handles=shm_handles)
+            [jobs[i] for i in pending], with_obs=with_obs,
+            on_result=on_result, shm_handles=shm_handles)
 
         failures = []
         for outcome in outcomes:
-            indices = by_hash[outcome.job.content_hash()]
             if outcome.failure is not None:
                 failures.append(outcome.failure)
-                continue
-            for j, i in enumerate(indices):
-                if j:  # hash-level duplicates are free, like cache hits
-                    self._record(jobs[i], 0.0, SOURCE_CACHE)
-                results[i] = outcome.result
-        if failures:
-            raise CampaignJobError(failures)
+            else:
+                results[index[outcome.job.content_hash()]] = outcome.result
+        return failures
 
 
 # -- the active runner (driver-facing indirection) -----------------------------
@@ -361,16 +366,20 @@ def run_simulations(jobs: Sequence[SimJob]) -> List[RunResult]:
 
     With no active runner this is the historical serial path: each
     trace materializes through the process-wide store and simulates
-    inline, with no caching and no extra processes.
+    inline, with no caching and no extra processes.  A job repeated
+    within the batch simulates once.
     """
     runner = _ACTIVE
     if runner is not None:
         return runner.run_jobs(jobs)
     store = default_trace_store()
-    return [
-        simulate(job.machine, store.get(job.spec), check=job.check)
-        for job in jobs
-    ]
+    done: dict = {}
+    for job in jobs:
+        key = job.content_hash()
+        if key not in done:
+            done[key] = simulate(job.machine, store.get(job.spec),
+                                 check=job.check)
+    return [done[job.content_hash()] for job in jobs]
 
 
 def simulate_spec(job: SimJob) -> RunResult:

@@ -73,10 +73,18 @@ class SimJob:
         }
 
     def content_hash(self) -> str:
-        """Stable hex digest identifying this job's result."""
-        return hashlib.sha256(
-            canonical_json(self.payload()).encode()
-        ).hexdigest()
+        """Stable hex digest identifying this job's result.
+
+        Every field is frozen, so the digest is computed once and kept
+        in ``__dict__``: equality and ``repr`` ignore it, pickling
+        carries it."""
+        digest = self.__dict__.get("_content_hash")
+        if digest is None:
+            digest = hashlib.sha256(
+                canonical_json(self.payload()).encode()
+            ).hexdigest()
+            object.__setattr__(self, "_content_hash", digest)
+        return digest
 
     # -- wire format -----------------------------------------------------------
 

@@ -35,7 +35,11 @@ value-identical results.
 
 from __future__ import annotations
 
+import multiprocessing.connection
+import os
 import random
+import signal
+import threading
 import time
 import zlib
 from collections import deque
@@ -82,8 +86,26 @@ def _worker_init(spill_dir: Optional[str], capacity: int,
 
     Points the trace store at the shared spill directory and, when the
     chaos harness is active, installs the worker-side fault injector.
+
+    A forked worker inherits its parent's signal handlers: under
+    ``repro-oltp serve`` those turn SIGTERM and SIGINT into a stop
+    request the worker never acts on, so both are reset to their
+    defaults.  A worker also blocks on its call queue forever once the
+    parent is gone (SIGKILL runs no cleanup), so a daemon thread exits
+    the worker the moment the parent's sentinel fires.
     """
     from repro.runner.tracestore import default_trace_store
+
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.default_int_handler)
+    parent = multiprocessing.parent_process()
+    if parent is not None:
+        def exit_with_parent(sentinel=parent.sentinel) -> None:
+            multiprocessing.connection.wait([sentinel])
+            os._exit(1)
+
+        threading.Thread(target=exit_with_parent, name="parent-watch",
+                         daemon=True).start()
 
     store = default_trace_store()
     store.spill_dir = spill_dir

@@ -109,8 +109,8 @@ class JobRecord:
     job_hash: str
     seconds: float
     source: str  # SOURCE_CACHE or SOURCE_SIMULATED
-    #: Replay engine the job's configuration resolves to ("fast",
-    #: "general", "vectorized" or "vectorized-mp").  Provenance only:
+    #: Replay engine the job's configuration resolves to ("general",
+    #: "vectorized" or "vectorized-mp").  Provenance only:
     #: the engine is not part of the job's content hash, because all
     #: engines are value-identical and cached results stay valid
     #: across them.

@@ -1,9 +1,9 @@
 """Multi-engine differential harness.
 
-Parametrized sweeps asserting that the replay engines — ``_run_fast``,
-``_run_general``, the numpy ``_run_vectorized`` kernel and the staged
-``_run_vectorized_mp`` pipeline — produce **equal**
-``RunResult.to_dict()`` payloads wherever their domains overlap.
+Parametrized sweeps asserting that the replay engines — the scalar
+``general`` loop, the numpy ``vectorized`` kernel and the staged
+``vectorized-mp`` pipeline — produce **equal** ``RunResult.to_dict()``
+payloads wherever their domains overlap, with ``general`` as the pivot.
 
 The uniprocessor grid covers L2 sizes × associativities × SRAM/DRAM
 technology × TLB on/off, in-order and out-of-order CPUs, with and
@@ -17,9 +17,9 @@ cached campaign results stay valid across engines without a
 ``CODE_VERSION`` bump: any field drifting — breakdowns, miss
 taxonomies, L1 stats, directory counters — fails here first.
 
-TLB-on cells are the negative half of the grid: the vectorized and
-fast engines must *refuse* them (ConfigError) and auto-selection must
-fall back to the general engine, rather than silently mis-replaying.
+TLB-on cells are the negative half of the grid: the staged engines
+must *refuse* them (ConfigError) and auto-selection must fall back to
+the general engine, rather than silently mis-replaying.
 """
 
 import random
@@ -129,7 +129,7 @@ def run_all_engines(machine, trace):
     """Replay ``trace`` once per engine; Systems are single-use."""
     return {
         engine: System(machine, engine=engine).run(trace).to_dict()
-        for engine in ("fast", "general", "vectorized")
+        for engine in ("general", "vectorized")
     }
 
 
@@ -144,8 +144,7 @@ class TestThreeEngineEquivalence:
         machine = grid_machine(l2_size, l2_assoc, technology)
         trace = synthetic_trace(seed, warmup=warmup)
         results = run_all_engines(machine, trace)
-        assert results["vectorized"] == results["fast"]
-        assert results["fast"] == results["general"]
+        assert results["vectorized"] == results["general"]
 
     @pytest.mark.parametrize("geometry", [(2 * KB, 1), (2 * KB, 4),
                                           (4 * KB, 2), (16 * KB, 4),
@@ -157,8 +156,7 @@ class TestThreeEngineEquivalence:
                                L2Technology.ON_CHIP_SRAM, cpu_model="ooo")
         trace = synthetic_trace(17, warmup=8)
         results = run_all_engines(machine, trace)
-        assert results["vectorized"] == results["fast"]
-        assert results["fast"] == results["general"]
+        assert results["vectorized"] == results["general"]
 
     def test_auto_selection_matches_forced_engines(self):
         machine = grid_machine(4 * KB, 2, L2Technology.OFF_CHIP_SRAM)
@@ -166,7 +164,7 @@ class TestThreeEngineEquivalence:
         auto_sys = System(machine)
         assert auto_sys.engine == "vectorized"
         auto = auto_sys.run(trace).to_dict()
-        assert auto == System(machine, engine="fast").run(trace).to_dict()
+        assert auto == System(machine, engine="general").run(trace).to_dict()
 
 
 class TestTlbCells:
@@ -180,9 +178,10 @@ class TestTlbCells:
         with pytest.raises(ConfigError):
             System(self.tlb_machine(), engine="vectorized")
 
-    def test_fast_refuses_tlb(self):
+    def test_vectorized_mp_refuses_tlb(self):
+        machine = mp_machine(2).with_(tlb_entries=4)
         with pytest.raises(ConfigError):
-            System(self.tlb_machine(), engine="fast")
+            System(machine, engine="vectorized-mp")
 
     def test_auto_falls_back_to_general(self):
         machine = self.tlb_machine()
@@ -218,7 +217,7 @@ def run_mp_engines(machine, trace):
     """Replay ``trace`` once per MP-capable engine."""
     return {
         engine: System(machine, engine=engine).run(trace).to_dict()
-        for engine in ("fast", "general", "vectorized-mp")
+        for engine in ("general", "vectorized-mp")
     }
 
 
@@ -237,8 +236,7 @@ class TestMultiprocessorEquivalence:
                              cpu_model=cpu_model)
         trace = synthetic_mp_trace(9, ncpus, replicate=replicate)
         results = run_mp_engines(machine, trace)
-        assert results["vectorized-mp"] == results["fast"]
-        assert results["fast"] == results["general"]
+        assert results["vectorized-mp"] == results["general"]
 
     @pytest.mark.parametrize("l2_assoc", [1, 2, 8],
                              ids=lambda a: f"{a}w")
@@ -248,14 +246,13 @@ class TestMultiprocessorEquivalence:
         machine = mp_machine(4, l2_assoc=l2_assoc)
         trace = synthetic_mp_trace(21, 4)
         results = run_mp_engines(machine, trace)
-        assert results["vectorized-mp"] == results["fast"]
-        assert results["fast"] == results["general"]
+        assert results["vectorized-mp"] == results["general"]
 
     def test_no_warmup_boundary(self):
         machine = mp_machine(2)
         trace = synthetic_mp_trace(13, 2, warmup=0)
         results = run_mp_engines(machine, trace)
-        assert results["vectorized-mp"] == results["fast"]
+        assert results["vectorized-mp"] == results["general"]
 
     def test_end_of_run_checker_accepts_reconstructed_state(self):
         """The engine rebuilds directory entries for private lines at
@@ -265,7 +262,7 @@ class TestMultiprocessorEquivalence:
         trace = synthetic_mp_trace(9, 8)
         a = System(machine, engine="vectorized-mp",
                    check="end-of-run").run(trace).to_dict()
-        b = System(machine, engine="fast",
+        b = System(machine, engine="general",
                    check="end-of-run").run(trace).to_dict()
         assert a == b
 
@@ -275,15 +272,15 @@ class TestMultiprocessorEquivalence:
         auto_sys = System(machine)
         assert auto_sys.engine == "vectorized-mp"
         auto = auto_sys.run(trace).to_dict()
-        assert auto == System(machine, engine="fast").run(trace).to_dict()
+        assert auto == System(machine, engine="general").run(trace).to_dict()
 
 
 class TestEngineSelection:
     def test_engines_tuple_is_the_contract(self):
-        assert ENGINES == ("auto", "fast", "general", "vectorized",
-                           "vectorized-mp")
-        with pytest.raises(ConfigError):
-            System.select_engine(MachineConfig.base(1), engine="turbo")
+        assert ENGINES == ("auto", "general", "vectorized", "vectorized-mp")
+        for retired in ("turbo", "fast"):
+            with pytest.raises(ConfigError):
+                System.select_engine(MachineConfig.base(1), engine=retired)
 
     def test_uniprocessor_auto_selects_vectorized(self):
         assert System.select_engine(MachineConfig.base(1)) == "vectorized"
@@ -298,25 +295,36 @@ class TestEngineSelection:
 
     def test_per_quantum_checking_vetoes_vectorized(self):
         machine = MachineConfig.base(1)
-        assert System.select_engine(machine, check="per-quantum") == "fast"
+        assert System.select_engine(machine, check="per-quantum") == "general"
         with pytest.raises(ConfigError):
             System.select_engine(machine, check="per-quantum",
                                  engine="vectorized")
 
     def test_per_quantum_checking_vetoes_vectorized_mp(self):
         machine = MachineConfig.base(8)
-        assert System.select_engine(machine, check="per-quantum") == "fast"
+        assert System.select_engine(machine, check="per-quantum") == "general"
         with pytest.raises(ConfigError):
             System.select_engine(machine, check="per-quantum",
                                  engine="vectorized-mp")
 
     def test_fault_plan_vetoes_vectorized(self):
         machine = MachineConfig.base(1)
-        assert System.select_engine(machine, fault_plan=object()) == "fast"
+        assert System.select_engine(machine, fault_plan=object()) == "general"
 
     def test_fault_plan_vetoes_vectorized_mp(self):
         machine = MachineConfig.base(8)
-        assert System.select_engine(machine, fault_plan=object()) == "fast"
+        assert System.select_engine(machine, fault_plan=object()) == "general"
+
+    def test_non_two_way_l1_routes_to_general(self, monkeypatch):
+        """The staged engines' flat L1 state models 2-way L1s only."""
+        import repro.core.system as system_module
+
+        monkeypatch.setattr(system_module, "L1_ASSOC", 4)
+        for machine, staged in ((MachineConfig.base(1), "vectorized"),
+                                (MachineConfig.base(8), "vectorized-mp")):
+            assert System.select_engine(machine) == "general"
+            with pytest.raises(ConfigError):
+                System.select_engine(machine, engine=staged)
 
     def test_engine_is_not_part_of_job_identity(self):
         """Cached results must stay valid whatever engine produced
@@ -327,6 +335,35 @@ class TestEngineSelection:
         spec = TraceSpec(ncpus=1, scale=64, txns=20, seed=1)
         job = SimJob(spec=spec, machine=MachineConfig.base(1))
         assert "engine" not in repr(job.payload()).lower()
+
+
+class TestMalformedReferences:
+    """An instruction fetch carrying the write flag is never emitted by
+    the OLTP generator.  Every engine must reject it the same way,
+    materialized or streamed, rather than replay it with
+    engine-specific results."""
+
+    @pytest.mark.parametrize("streamed", [False, True],
+                             ids=["materialized", "streamed"])
+    @pytest.mark.parametrize("engine",
+                             ["general", "vectorized", "vectorized-mp"])
+    def test_ifetch_with_write_flag_is_rejected(self, engine, streamed):
+        from repro.integrity.errors import TraceMismatchError
+        from repro.trace.stream import StreamedTrace
+
+        if engine == "vectorized-mp":
+            machine = mp_machine(2)
+        else:
+            machine = grid_machine(2 * KB, 1, L2Technology.OFF_CHIP_SRAM)
+        last = machine.ncpus - 1
+        trace = make_trace(machine.ncpus, [
+            (0, [encode(1), encode(2, write=True), encode(3, instr=True)]),
+            (last, [encode(4, instr=True), encode(5, write=True, instr=True)]),
+        ], page_bytes=PAGE)
+        if streamed:
+            trace = StreamedTrace.from_trace(trace, 1)
+        with pytest.raises(TraceMismatchError, match="write flag"):
+            System(machine, engine=engine).run(trace)
 
 
 # Chunk sizes for the streaming cells: single-quantum (maximum chunk
@@ -358,7 +395,7 @@ class TestStreamingEquivalence:
         l2_size, l2_assoc = geometry
         machine = grid_machine(l2_size, l2_assoc, technology)
         trace = synthetic_trace(11, warmup=12)
-        for engine in ("fast", "general", "vectorized"):
+        for engine in ("general", "vectorized"):
             base = System(machine, engine=engine).run(trace).to_dict()
             for chunk in STREAM_CHUNKS:
                 streamed = System(machine, engine=engine).run(
@@ -372,7 +409,7 @@ class TestStreamingEquivalence:
 
         machine = grid_machine(4 * KB, 2, L2Technology.ON_CHIP_SRAM)
         trace = synthetic_trace(3, warmup=0)
-        for engine in ("fast", "general", "vectorized"):
+        for engine in ("general", "vectorized"):
             base = System(machine, engine=engine).run(trace).to_dict()
             streamed = System(machine, engine=engine).run(
                 StreamedTrace.from_trace(trace, chunk)
@@ -385,7 +422,7 @@ class TestStreamingEquivalence:
 
         machine = mp_machine(ncpus, rac_size=256 * KB, replicate=True)
         trace = synthetic_mp_trace(9, ncpus, replicate=True)
-        for engine in ("fast", "general", "vectorized-mp"):
+        for engine in ("general", "vectorized-mp"):
             base = System(machine, engine=engine).run(trace).to_dict()
             for chunk in STREAM_CHUNKS:
                 streamed = System(machine, engine=engine).run(
@@ -399,8 +436,8 @@ class TestStreamingEquivalence:
         machine = grid_machine(8 * KB, 4, L2Technology.ON_CHIP_SRAM,
                                cpu_model="ooo")
         trace = synthetic_trace(17, warmup=8)
-        base = System(machine, engine="fast").run(trace).to_dict()
-        streamed = System(machine, engine="fast").run(
+        base = System(machine, engine="general").run(trace).to_dict()
+        streamed = System(machine, engine="general").run(
             StreamedTrace.from_trace(trace, 7)).to_dict()
         assert streamed == base
 
@@ -411,6 +448,6 @@ class TestStreamingEquivalence:
         machine = grid_machine(4 * KB, 2, L2Technology.OFF_CHIP_SRAM)
         trace = synthetic_trace(5)
         stream = StreamedTrace.from_trace(trace, 7)
-        System(machine, engine="fast").run(stream)
+        System(machine, engine="general").run(stream)
         with pytest.raises(StateError):
-            System(machine, engine="fast").run(stream)
+            System(machine, engine="general").run(stream)

@@ -131,7 +131,8 @@ class TestVictimBufferSystem:
 
 
 class TestGeneralLoopEquivalence:
-    """The fast loop and the general loop implement the same machine."""
+    """The general loop and the engine ``auto`` selects implement the
+    same machine."""
 
     @staticmethod
     def _random_trace(seed, ncpus=2):
@@ -162,12 +163,12 @@ class TestGeneralLoopEquivalence:
 
         l2_size, l2_assoc = geometry
         machine = MachineConfig.base(2, l2_size=l2_size, l2_assoc=l2_assoc, scale=1)
-        fast = System(machine).run(self._random_trace(seed))
-        general = System(machine, force_general=True).run(self._random_trace(seed))
-        assert fast.breakdown.total == general.breakdown.total
-        assert fast.misses.as_dict() == general.misses.as_dict()
-        assert fast.protocol.upgrades == general.protocol.upgrades
-        assert fast.l1.i_misses == general.l1.i_misses
+        auto = System(machine).run(self._random_trace(seed))
+        general = System(machine, engine="general").run(self._random_trace(seed))
+        assert auto.breakdown.total == general.breakdown.total
+        assert auto.misses.as_dict() == general.misses.as_dict()
+        assert auto.protocol.upgrades == general.protocol.upgrades
+        assert auto.l1.i_misses == general.l1.i_misses
 
     def test_loops_agree_with_warmup(self):
         from repro.core.system import System
@@ -177,10 +178,10 @@ class TestGeneralLoopEquivalence:
         t1.warmup_quanta = 20
         t2 = self._random_trace(5)
         t2.warmup_quanta = 20
-        fast = System(machine).run(t1)
-        general = System(machine, force_general=True).run(t2)
-        assert fast.breakdown.total == general.breakdown.total
-        assert fast.misses.as_dict() == general.misses.as_dict()
+        auto = System(machine).run(t1)
+        general = System(machine, engine="general").run(t2)
+        assert auto.breakdown.total == general.breakdown.total
+        assert auto.misses.as_dict() == general.misses.as_dict()
 
 
 class TestTlbSystem:

@@ -1,7 +1,7 @@
 """Differential test: every replay engine vs a clean reference.
 
-The System replay engines reach into cache internals for speed (the
-vectorized one does not even keep per-reference cache state).  This
+The staged replay engines reach into cache internals for speed (the
+uniprocessor kernel does not even keep per-reference cache state).  This
 test re-implements the replay using only the public NodeCaches /
 DirectoryProtocol / InterconnectModel APIs and checks that each engine
 produces identical stall accounting and miss classification.  Engine
@@ -115,7 +115,7 @@ def machine_for(ncpus, l2_size, l2_assoc):
     return MachineConfig.base(ncpus, l2_size=l2_size, l2_assoc=l2_assoc, scale=1)
 
 
-@pytest.mark.parametrize("engine", ["fast", "general", "vectorized"])
+@pytest.mark.parametrize("engine", ["general", "vectorized"])
 @given(st.integers(0, 10_000),
        st.sampled_from([(2048, 1), (4096, 2), (8192, 4)]))
 @settings(max_examples=15, deadline=None)
@@ -129,7 +129,7 @@ def test_uniprocessor_engines_match_reference(engine, seed, geometry):
     assert got.misses.as_dict() == ref_misses.as_dict()
 
 
-@pytest.mark.parametrize("engine", ["fast", "general"])
+@pytest.mark.parametrize("engine", ["general", "vectorized-mp"])
 @given(st.integers(0, 10_000), st.sampled_from([2, 4]),
        st.sampled_from([(2048, 1), (4096, 2), (8192, 4)]))
 @settings(max_examples=15, deadline=None)
@@ -143,7 +143,7 @@ def test_multiprocessor_engines_match_reference(engine, seed, ncpus, geometry):
     assert got.misses.as_dict() == ref_misses.as_dict()
 
 
-@pytest.mark.parametrize("engine", ["fast", "general", "vectorized"])
+@pytest.mark.parametrize("engine", ["general", "vectorized"])
 def test_engines_match_reference_small_caches(engine):
     """Heavy eviction pressure: tiny L2 forces constant replacement."""
     trace = random_trace(99, 1, nquanta=120, nlines=200)

@@ -38,13 +38,13 @@ if mode == "materialized":
     from repro.trace.generator import build_trace
 
     trace = build_trace(ncpus=1, scale=scale, txns=txns, seed=seed)
-    result = simulate(machine, trace, engine="fast")
+    result = simulate(machine, trace, engine="general")
     measured = trace.measured_refs
 else:
     from repro.trace.generator import stream_trace
 
     trace = stream_trace(ncpus=1, scale=scale, txns=txns, seed=seed)
-    result = simulate(machine, trace, engine="fast")
+    result = simulate(machine, trace, engine="general")
     measured = trace.measured_refs
 print(json.dumps({
     "measured_refs": measured,

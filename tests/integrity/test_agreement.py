@@ -1,9 +1,11 @@
-"""Property test: fast and general loops agree *and* stay invariant-clean.
+"""Property test: the checked scalar loop agrees with the staged engines.
 
-The two replay loops are the highest-risk duplication in the codebase.
-Running both under per-quantum checking on randomized traces asserts
-not just equal statistics (the metamorphic tests do that) but that
-every intermediate machine state both loops pass through is legal.
+The scalar ``general`` loop is the reference every staged engine is
+held to.  Running it under per-quantum checking on randomized traces
+asserts that every intermediate machine state it passes through is
+legal, and comparing it with the engine ``auto`` selects (which
+cannot host per-quantum checks) asserts that both produce the same
+statistics.
 """
 
 import random
@@ -37,26 +39,30 @@ def _random_trace(seed, ncpus=4):
 @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
 def test_loops_agree_under_per_quantum_checking(seed):
     machine = MachineConfig.base(4, l2_size=8192, l2_assoc=2, scale=1)
-    fast_sys = System(machine, check="per-quantum")
-    fast = fast_sys.run(_random_trace(seed))
-    general_sys = System(machine, force_general=True, check="per-quantum")
-    general = general_sys.run(_random_trace(seed))
+    checked_sys = System(machine, check="per-quantum")
+    checked = checked_sys.run(_random_trace(seed))
+    staged_sys = System(machine)
+    staged = staged_sys.run(_random_trace(seed))
 
-    assert fast_sys.checker.checks_run > 1
-    assert general_sys.checker.checks_run == fast_sys.checker.checks_run
-    assert fast.breakdown.total == general.breakdown.total
-    assert fast.misses.as_dict() == general.misses.as_dict()
-    assert fast.l1.i_refs == general.l1.i_refs
-    assert fast.l1.d_refs == general.l1.d_refs
-    assert fast.l2_hits == general.l2_hits
-    assert fast.trace_refs == general.trace_refs
+    assert checked_sys.engine == "general"
+    assert staged_sys.engine == "vectorized-mp"
+    assert checked_sys.checker.checks_run > 1
+    assert checked.breakdown.total == staged.breakdown.total
+    assert checked.misses.as_dict() == staged.misses.as_dict()
+    assert checked.l1.i_refs == staged.l1.i_refs
+    assert checked.l1.d_refs == staged.l1.d_refs
+    assert checked.l2_hits == staged.l2_hits
+    assert checked.trace_refs == staged.trace_refs
 
 
 @pytest.mark.parametrize("seed", [11, 12])
 def test_uniprocessor_agreement(seed):
     machine = MachineConfig.integrated_l2_mc(l2_size=16384, l2_assoc=4, scale=1)
-    fast = System(machine, check="per-quantum").run(_random_trace(seed, ncpus=1))
-    general = System(machine, force_general=True,
-                     check="per-quantum").run(_random_trace(seed, ncpus=1))
-    assert fast.breakdown.total == general.breakdown.total
-    assert fast.misses.as_dict() == general.misses.as_dict()
+    checked_sys = System(machine, check="per-quantum")
+    checked = checked_sys.run(_random_trace(seed, ncpus=1))
+    staged_sys = System(machine)
+    staged = staged_sys.run(_random_trace(seed, ncpus=1))
+    assert checked_sys.engine == "general"
+    assert staged_sys.engine == "vectorized"
+    assert checked.breakdown.total == staged.breakdown.total
+    assert checked.misses.as_dict() == staged.misses.as_dict()

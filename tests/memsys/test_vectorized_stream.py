@@ -1,15 +1,13 @@
 """Direct kernel calls with chunk-streamed traces.
 
-``System`` collects a :class:`~repro.trace.stream.StreamedTrace`
-before handing it to the vectorized kernels (the
-``VectorizedUnsupported`` fallback must receive a materialized trace),
-so under ``System.run`` the kernels only ever see materialized input.
-The kernels nevertheless normalize streams at their own entry so that
-*direct* callers — anything invoking ``replay_uniprocessor`` /
-``replay_multiprocessor`` without going through ``System`` — get the
-same bit-identical results.  These tests exercise that entry-point
-contract by driving the kernels exactly the way ``System.run`` wires
-them up (homemap → protocol → interconnect), minus the pre-collect.
+The vectorized kernels normalize a
+:class:`~repro.trace.stream.StreamedTrace` at their own entry by
+collecting it, so ``System.run`` and *direct* callers — anything
+invoking ``replay_uniprocessor`` / ``replay_multiprocessor`` without
+going through ``System`` — get the same bit-identical results.  These
+tests exercise that entry-point contract by driving the kernels
+exactly the way ``System.run`` wires them up (homemap → protocol →
+interconnect).
 """
 
 from __future__ import annotations

@@ -22,8 +22,8 @@ from repro.stats.breakdown import MissBreakdown
 def spans_fixture():
     """One root with two children (0.6 s self) plus a worker track."""
     return [
-        SpanRecord("system.run", 10.0, 2.0, 1, "main", {"engine": "fast"}),
-        SpanRecord("engine.fast", 10.1, 1.0, 1, "main"),
+        SpanRecord("system.run", 10.0, 2.0, 1, "main", {"engine": "general"}),
+        SpanRecord("engine.general", 10.1, 1.0, 1, "main"),
         SpanRecord("trace.build", 11.2, 0.4, 1, "main"),
         SpanRecord("campaign.job", 10.5, 0.5, 42, "worker"),
     ]
@@ -36,10 +36,10 @@ class TestChromeTrace:
         by_name = {e["name"]: e for e in complete}
         assert by_name["system.run"]["ts"] == 0.0
         assert by_name["system.run"]["dur"] == 2_000_000.0
-        assert by_name["engine.fast"]["ts"] == 100_000.0
+        assert by_name["engine.general"]["ts"] == 100_000.0
         assert by_name["campaign.job"]["ts"] == 500_000.0
-        assert by_name["system.run"]["args"] == {"engine": "fast"}
-        assert "args" not in by_name["engine.fast"]
+        assert by_name["system.run"]["args"] == {"engine": "general"}
+        assert "args" not in by_name["engine.general"]
 
     def test_one_process_name_metadata_event_per_pid(self):
         events = chrome_trace_events(spans_fixture())
@@ -65,7 +65,7 @@ class TestMetricsDumps:
     def registry(self):
         reg = MetricsRegistry()
         reg.count("integrity.checks_run", 2)
-        series = reg.new_series(label="8M8w", engine="fast")
+        series = reg.new_series(label="8M8w", engine="general")
         series.sample(5, MissBreakdown(d_local=3, d_remote_dirty=1),
                       i_refs=20, dir_lines=7, rac_probes=4, rac_hits=1)
         series.sample(6, MissBreakdown(d_local=5, d_remote_dirty=2),
@@ -78,7 +78,7 @@ class TestMetricsDumps:
         data = json.loads(path.read_text())
         assert data["counters"] == {"integrity.checks_run": 2}
         (series,) = data["series"]
-        assert series["meta"] == {"label": "8M8w", "engine": "fast"}
+        assert series["meta"] == {"label": "8M8w", "engine": "general"}
         assert series["miss_local"] == [3, 2]
         assert series["dirty_share"] == round(2 / 7, 6)
 
@@ -91,7 +91,7 @@ class TestMetricsDumps:
         first = rows[0]
         assert first["series"] == "0"
         assert first["label"] == "8M8w"
-        assert first["engine"] == "fast"
+        assert first["engine"] == "general"
         assert first["quantum"] == "5"
         assert first["miss_3hop"] == "1"
         assert first["dir_lines"] == "7"
@@ -101,10 +101,10 @@ class TestMetricsDumps:
 class TestSelfTime:
     def test_self_time_is_duration_minus_direct_children(self):
         rows = {r["name"]: r for r in self_time_table(spans_fixture())}
-        # system.run: 2.0 total, children engine.fast (1.0) and
+        # system.run: 2.0 total, children engine.general (1.0) and
         # trace.build (0.4) leave 0.6 self.
         assert abs(rows["system.run"]["self"] - 0.6) < 1e-9
-        assert abs(rows["engine.fast"]["self"] - 1.0) < 1e-9
+        assert abs(rows["engine.general"]["self"] - 1.0) < 1e-9
         assert rows["campaign.job"]["calls"] == 1
 
     def test_self_sums_to_root_total(self):

@@ -5,7 +5,7 @@ and registry installed, every instrumented layer — ``System.run``, the
 replay engines' phases, the trace generator, the integrity checker,
 the campaign executor (including worker processes) — shows up in the
 spans and metrics.  *Transparency*: enabling all of it changes no
-simulated value (the differential identity ``fast == vectorized ==
+simulated value (the differential identity ``general == vectorized ==
 vectorized-mp`` holds with observability on), and the per-quantum
 series totals reconcile exactly with the end-of-run aggregates.
 """
@@ -62,21 +62,21 @@ class TestTransparency:
     def test_uniprocessor_engines_identical_with_obs_on(self, uni_trace):
         machine = base_machine(1)
         plain = simulate(machine, uni_trace).to_dict()
-        for engine in ("fast", "vectorized"):
+        for engine in ("general", "vectorized"):
             traced = traced_run(machine, uni_trace, engine)[0].to_dict()
             assert traced == plain, engine
 
     def test_mp_engines_identical_with_obs_on(self, mp8_trace):
         machine = base_machine(8)
         plain = simulate(machine, mp8_trace).to_dict()
-        for engine in ("fast", "vectorized-mp"):
+        for engine in ("general", "vectorized-mp"):
             traced = traced_run(machine, mp8_trace, engine)[0].to_dict()
             assert traced == plain, engine
 
     def test_mp_stream_mode_identical_with_obs_on(self, mp8_trace):
         # RAC + OOO forces the staged pipeline through its stream mode.
         machine = stream_machine()
-        plain = System(machine, engine="fast").run(mp8_trace).to_dict()
+        plain = System(machine, engine="general").run(mp8_trace).to_dict()
         traced = traced_run(machine, mp8_trace, "vectorized-mp")[0].to_dict()
         assert traced == plain
 
@@ -84,12 +84,12 @@ class TestTransparency:
 class TestEngineSpans:
     def test_system_and_engine_spans(self, uni_trace):
         machine = base_machine(1)
-        _, tracer, _ = traced_run(machine, uni_trace, "fast")
+        _, tracer, _ = traced_run(machine, uni_trace, "general")
         names = [s.name for s in tracer.spans]
         assert "system.run" in names
-        assert "engine.fast" in names
+        assert "engine.general" in names
         run_span = next(s for s in tracer.spans if s.name == "system.run")
-        assert run_span.args["engine"] == "fast"
+        assert run_span.args["engine"] == "general"
         assert run_span.args["label"] == machine.label
 
     def test_vectorized_uni_phase_spans(self, uni_trace):
@@ -130,7 +130,7 @@ class TestEngineSpans:
 
 
 class TestQuantumSeriesWiring:
-    @pytest.mark.parametrize("engine", ["fast", "vectorized-mp"])
+    @pytest.mark.parametrize("engine", ["general", "vectorized-mp"])
     def test_series_totals_match_end_of_run_breakdown(self, mp8_trace,
                                                       engine):
         result, _, registry = traced_run(base_machine(8), mp8_trace, engine)
@@ -145,21 +145,21 @@ class TestQuantumSeriesWiring:
         assert series.meta["engine"] == engine
         assert series.meta["ncpus"] == 8
 
-    def test_fast_and_mp_series_are_identical(self, mp8_trace):
+    def test_general_and_mp_series_are_identical(self, mp8_trace):
         machine = base_machine(8)
-        fast = traced_run(machine, mp8_trace, "fast")[2].series[0]
+        general = traced_run(machine, mp8_trace, "general")[2].series[0]
         staged = traced_run(machine, mp8_trace, "vectorized-mp")[2].series[0]
         for field in ("quantum", "miss_local", "miss_2hop", "miss_3hop",
                       "i_refs"):
-            assert getattr(fast, field) == getattr(staged, field), field
+            assert getattr(general, field) == getattr(staged, field), field
         # Batch mode's directory gauge covers coherence-tracked shared
         # lines only (private lines bypass the directory until the run
         # materializes): a positive lower bound on the live occupancy.
-        for flat, live in zip(staged.dir_lines, fast.dir_lines):
+        for flat, live in zip(staged.dir_lines, general.dir_lines):
             assert 0 < flat <= live
 
     def test_only_measured_quanta_are_sampled(self, mp8_trace):
-        _, _, registry = traced_run(base_machine(8), mp8_trace, "fast")
+        _, _, registry = traced_run(base_machine(8), mp8_trace, "general")
         (series,) = registry.series
         assert len(series) == len(mp8_trace.quanta) - mp8_trace.warmup_quanta
         assert series.quantum[0] == mp8_trace.warmup_quanta
@@ -180,14 +180,14 @@ class TestQuantumSeriesWiring:
 
     def test_disabled_metrics_build_no_sampler(self, uni_trace):
         machine = base_machine(1)
-        system = System(machine, engine="fast")
+        system = System(machine, engine="general")
         system.run(uni_trace)
         assert system._sampler is None
 
 
 class TestIntegrityMetrics:
     def test_checker_emits_span_and_counters(self, uni_trace):
-        _, tracer, registry = traced_run(base_machine(1), uni_trace, "fast",
+        _, tracer, registry = traced_run(base_machine(1), uni_trace, "general",
                                          check="end-of-run")
         assert registry.counters["integrity.checks_run"] >= 1
         assert "integrity.violations" not in registry.counters
@@ -355,7 +355,7 @@ class TestStreamChunkSpans:
 
     def test_chunk_spans_cover_the_whole_stream(self, uni_trace):
         machine = base_machine(1)
-        result, chunks = self._streamed_spans(uni_trace, machine, "fast")
+        result, chunks = self._streamed_spans(uni_trace, machine, "general")
         n = len(uni_trace.quanta)
         expected = -(-n // self.CHUNK)
         assert len(chunks) == expected
@@ -366,7 +366,7 @@ class TestStreamChunkSpans:
         start = 0
         for span in chunks:
             assert span.args["start"] == start
-            assert span.args["engine"] == "fast"
+            assert span.args["engine"] == "general"
             assert span.dur >= 0.0
             start += span.args["quanta"]
         # Transparency: streamed-with-spans equals plain materialized.
@@ -387,7 +387,7 @@ class TestStreamChunkSpans:
     def test_disabled_tracer_emits_no_chunk_spans(self, uni_trace):
         from repro.trace.stream import StreamedTrace
 
-        result = System(base_machine(1), engine="fast").run(
+        result = System(base_machine(1), engine="general").run(
             StreamedTrace.from_trace(uni_trace, self.CHUNK))
         assert result.to_dict() == simulate(
             base_machine(1), uni_trace).to_dict()

@@ -133,3 +133,51 @@ class TestCampaignCli:
             and "ETA" not in ln and not ln.startswith("  fig")
         ]
         assert strip(first) == strip(second)
+
+
+class TestDuplicateJobs:
+    """A job repeated within one batch simulates once on every path."""
+
+    @staticmethod
+    def counted_runs(monkeypatch):
+        from repro.core.system import System
+
+        calls = []
+        run = System.run
+
+        def counting_run(system, trace):
+            calls.append(system.machine.label)
+            return run(system, trace)
+
+        monkeypatch.setattr(System, "run", counting_run)
+        return calls
+
+    @staticmethod
+    def twice():
+        from repro.core.machine import MachineConfig
+        from repro.runner import SimJob, TraceSpec
+
+        spec = TraceSpec(ncpus=1, scale=128, txns=10, seed=5)
+        # Two equal but distinct instances, as two drivers would build.
+        return [SimJob(spec=spec, machine=MachineConfig.base(1, scale=128))
+                for _ in range(2)]
+
+    def test_serial_runner_simulates_a_repeat_once(self, monkeypatch):
+        from repro.runner import CampaignRunner
+        from repro.runner.telemetry import SOURCE_CACHE, SOURCE_SIMULATED
+
+        calls = self.counted_runs(monkeypatch)
+        with CampaignRunner(jobs=1) as runner:
+            first, second = runner.run_jobs(self.twice())
+        assert len(calls) == 1
+        assert first.to_dict() == second.to_dict()
+        sources = [r.source for r in runner.telemetry.records]
+        assert sources == [SOURCE_SIMULATED, SOURCE_CACHE]
+
+    def test_inline_path_simulates_a_repeat_once(self, monkeypatch):
+        from repro.runner import run_simulations
+
+        calls = self.counted_runs(monkeypatch)
+        first, second = run_simulations(self.twice())
+        assert len(calls) == 1
+        assert first.to_dict() == second.to_dict()

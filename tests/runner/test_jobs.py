@@ -56,6 +56,21 @@ class TestContentHash:
         assert clone == j
         assert clone.content_hash() == j.content_hash()
 
+    def test_digest_is_cached_once_and_survives_pickle(self):
+        import hashlib
+
+        j = job(machine=MachineConfig.fully_integrated(8, scale=SCALE))
+        fresh = hashlib.sha256(
+            canonical_json(j.payload()).encode()).hexdigest()
+        assert j.content_hash() == fresh
+        assert j.__dict__["_content_hash"] == fresh
+        assert j.content_hash() is j.content_hash()  # served from cache
+        clone = pickle.loads(pickle.dumps(j))
+        assert clone.__dict__["_content_hash"] == fresh
+        assert clone.content_hash() == fresh
+        assert clone == j and hash(clone) == hash(j)
+        assert "_content_hash" not in repr(j)
+
     def test_topology_base_table_changes_hash(self):
         from dataclasses import replace
 

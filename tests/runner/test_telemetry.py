@@ -25,7 +25,7 @@ def sample_telemetry() -> CampaignTelemetry:
     t.started_at = 100.0
     t.record("1M4w", "fig5", "aaa", 2.0, SOURCE_SIMULATED, "vectorized")
     t.record("2M4w", "fig5", "bbb", 0.0, SOURCE_CACHE, "vectorized")
-    t.record("8M8w", "fig5", "ccc", 4.0, SOURCE_SIMULATED, "fast")
+    t.record("8M8w", "fig5", "ccc", 4.0, SOURCE_SIMULATED, "general")
     t.record("All 2M8w", "fig8", "ddd", 0.0, SOURCE_CACHE, "vectorized-mp")
     t.end_batch("fig5", 6.5)
     t.end_batch("fig8", 0.1)
@@ -81,7 +81,7 @@ class TestGoldenRender:
 
     def test_summary_shows_journal_and_resilience_events(self, frozen_wall):
         t = sample_telemetry()
-        t.record("1M8w", "fig8", "eee", 0.0, SOURCE_JOURNAL, "fast")
+        t.record("1M8w", "fig8", "eee", 0.0, SOURCE_JOURNAL, "general")
         t.resilience.retries = 2
         t.resilience.timeouts = 1
         t.resilience.respawns = 1
@@ -93,10 +93,10 @@ class TestGoldenRender:
     def test_dominant_engine_ties_break_alphabetically(self, frozen_wall):
         t = CampaignTelemetry()
         t.record("a", "figX", "h1", 1.0, SOURCE_SIMULATED, "vectorized")
-        t.record("b", "figX", "h2", 1.0, SOURCE_SIMULATED, "fast")
+        t.record("b", "figX", "h2", 1.0, SOURCE_SIMULATED, "general")
         t.end_batch("figX", 2.0)
         row = t.render().splitlines()[2]
-        assert row.endswith(" fast")
+        assert row.endswith(" general")
 
     def test_batch_without_records_renders_dash(self, frozen_wall):
         t = CampaignTelemetry()

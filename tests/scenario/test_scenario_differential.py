@@ -37,7 +37,7 @@ TOPOLOGIES = {
 
 class TestTopologyEngineEquivalence:
     """Non-flat topologies force the staged pipeline into stream mode;
-    its payloads must still match the scalar engines exactly."""
+    its payloads must still match the scalar engine exactly."""
 
     @pytest.mark.parametrize("rac", [None, 256 * KB], ids=["norac", "rac"])
     @pytest.mark.parametrize("topology", sorted(TOPOLOGIES))
@@ -47,8 +47,7 @@ class TestTopologyEngineEquivalence:
         )
         trace = synthetic_mp_trace(21, 4)
         results = run_mp_engines(machine, trace)
-        assert results["vectorized-mp"] == results["fast"]
-        assert results["fast"] == results["general"]
+        assert results["vectorized-mp"] == results["general"]
 
     def test_zero_extra_topologies_are_flat_equivalent(self):
         """An islands/chiplet spec whose extras are all zero is the
@@ -97,11 +96,10 @@ def test_registered_scenario_engines_identical(name):
     trace = scenario_trace(scenario)
     if scenario.ncpus == 1:
         results = run_all_engines(machine, trace)
-        assert results["vectorized"] == results["fast"]
+        assert results["vectorized"] == results["general"]
     else:
         results = run_mp_engines(machine, trace)
-        assert results["vectorized-mp"] == results["fast"]
-    assert results["fast"] == results["general"]
+        assert results["vectorized-mp"] == results["general"]
 
 
 def test_workload_changes_the_trace_not_the_contract():

@@ -46,6 +46,34 @@ def results_csv(rows) -> bytes:
     return ("\n".join(lines) + "\n").encode()
 
 
+def descendants(pid: int) -> set:
+    """PIDs of every live descendant of ``pid`` (read from ``/proc``)."""
+    parents = {}
+    for entry in os.listdir("/proc"):
+        if entry.isdigit():
+            try:
+                with open(f"/proc/{entry}/stat") as fh:
+                    fields = fh.read().rsplit(")", 1)[1].split()
+            except OSError:
+                continue
+            if fields[0] != "Z":
+                parents[int(entry)] = int(fields[1])
+    found, frontier = set(), {pid}
+    while frontier:
+        frontier = {p for p, pp in parents.items() if pp in frontier} - found
+        found |= frontier
+    return found
+
+
+def alive(pid: int) -> bool:
+    """True while ``pid`` exists and is not a zombie."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return False
+
+
 def fetch_json(url: str):
     with urllib.request.urlopen(url) as resp:
         return json.load(resp)
@@ -118,8 +146,15 @@ class TestKillRestartResume:
         accepted = json.load(urllib.request.urlopen(req))
         assert accepted["count"] == len(jobs)
         time.sleep(0.25)  # let some jobs finish, leave some in flight
+        workers = descendants(first.pid)
+        assert workers, "the server started no worker processes"
         first.send_signal(signal.SIGKILL)
         first.wait(timeout=30)
+        # No process of the killed server may outlive it.
+        deadline = time.time() + 30
+        while time.time() < deadline and any(map(alive, workers)):
+            time.sleep(0.1)
+        assert not [pid for pid in workers if alive(pid)], workers
 
         second, base = start()
         try:
